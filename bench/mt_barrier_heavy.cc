@@ -8,20 +8,22 @@
 //    identical shard set, so the aggregate result must be bitwise
 //    identical across rows (checked here — a scaling probe that silently
 //    changed the answer would be worthless), and events/sec measures pure
-//    scheduling/epoch overhead plus parallel speedup. Each row also
+//    scheduling overhead plus parallel speedup. Each row also
 //    reports scheduler efficiency — mean busy/wall across workers — and
 //    the steal count, straight from the TaskPool's diagnostics.
 //
 // 2. Skewed shards: the same workload with one shard carrying 8x the
 //    volume of the other seven, under the census-heavy MostGarbage policy,
-//    run twice at 4 threads — once on the PR 7 pull-queue scheduler (a
-//    worker claims a whole shard and keeps it) and once on the
-//    work-stealing scheduler with parallel marking on the same pool. The
-//    pull queue pins the giant shard to one worker and serializes its
-//    censuses; stealing lets the workers that finished the small shards
-//    execute the giant shard's marking strips. The headline number is
-//    steal wall-clock speedup over pull (the skew-resistance claim), with
-//    the aggregate checked identical between the two engines.
+//    run twice at 4 threads — once as whole-shard tasks (the "pull" row:
+//    each task replays one shard start to finish through the serial
+//    Simulator with serial marking, on a TaskPool local to this bench, so
+//    a worker claims a whole shard and keeps it) and once through the
+//    ConcurrentSimulator's batch scheduler with parallel marking on the
+//    same pool. Whole-shard tasks pin the giant shard to one worker and
+//    serialize its censuses; batching lets the workers that finished the
+//    small shards execute the giant shard's marking strips. The headline
+//    number is steal wall-clock speedup over pull (the skew-resistance
+//    claim), with the aggregate checked identical between the two.
 //
 //    The direct wall comparison only resolves the schedulers when the
 //    host grants the probe its 4 cores; on a smaller machine (CI
@@ -32,7 +34,8 @@
 //    run serially to get its wall time T_i and its census (marking)
 //    share C_i, then
 //      pull makespan  = FIFO schedule of whole shards over 4 workers
-//                       (exactly the pull queue's claim discipline), and
+//                       (exactly the whole-shard tasks' claim
+//                       discipline), and
 //      steal makespan = max(sum(T_i)/4, T_giant - C_giant * 3/4)
 //                       (event batches keep every worker fed until the
 //                       giant shard's tail, whose census strips the pool
@@ -42,10 +45,10 @@
 //    records the measured ratio, the modeled ratio, and which one the
 //    headline `speedup_steal_vs_pull` used (`speedup_basis`).
 //
-// The 1-thread row doubles as the concurrency tax measurement: it runs the
-// same epoch pinning, barrier-event buffering, and deferred reclamation as
-// the parallel rows, serially. Speedup figures are informational — they
-// depend on the machine's core count (reported in the JSON).
+// The 1-thread row doubles as the scheduler tax measurement: it runs the
+// same batch continuations on a one-worker TaskPool as the parallel rows,
+// serially. Speedup figures are informational — they depend on the
+// machine's core count (reported in the JSON).
 //
 // Usage: mt_barrier_heavy [output.json]
 #include <algorithm>
@@ -60,6 +63,7 @@
 #include "bench/bench_common.h"
 #include "sim/concurrent_simulator.h"
 #include "sim/simulator.h"
+#include "util/task_pool.h"
 
 namespace odbgc {
 namespace {
@@ -82,7 +86,7 @@ SimulationConfig BarrierHeavyConfig() {
 
 // One shard 8x the rest, census-heavy policy: the load shape the
 // work-stealing scheduler exists for. The giant shard is last so a greedy
-// whole-shard claimer starts it after the small ones — the pull queue's
+// whole-shard claimer starts it after the small ones — whole-shard tasks'
 // worst case and a perfectly legal arrival order.
 SimulationConfig SkewedConfig() {
   SimulationConfig c = bench::BaseConfig();
@@ -158,7 +162,7 @@ std::vector<ShardCost> MeasureShardCosts(const SimulationConfig& config) {
   return costs;
 }
 
-// The pull queue's actual discipline: shards claimed FIFO by whichever of
+// The whole-shard tasks' discipline: shards claimed FIFO by whichever of
 // the `workers` frees first, each held to completion.
 double PullMakespan(const std::vector<ShardCost>& costs, uint32_t workers) {
   std::vector<double> free_at(workers, 0.0);
@@ -188,6 +192,23 @@ double StealMakespan(const std::vector<ShardCost>& costs, uint32_t workers) {
   return std::max(total / workers, longest_spine);
 }
 
+// Fills a row's rate and scheduler-efficiency fields from its result,
+// wall time and the pool's diagnostics.
+void FinishRow(const std::vector<double>& busy, uint64_t steals, Row* row) {
+  row->events = row->result.app_events;
+  row->events_per_sec =
+      row->wall_seconds > 0
+          ? static_cast<double>(row->events) / row->wall_seconds
+          : 0;
+  if (!busy.empty() && row->wall_seconds > 0) {
+    double total = 0;
+    for (double b : busy) total += b;
+    row->efficiency =
+        total / (static_cast<double>(busy.size()) * row->wall_seconds);
+  }
+  row->steals = steals;
+}
+
 Row RunOnce(const SimulationConfig& config) {
   ConcurrentSimulator sim(config);
   const auto start = Clock::now();
@@ -199,19 +220,44 @@ Row RunOnce(const SimulationConfig& config) {
   row.wall_seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
   row.threads = config.mutator_threads;
-  row.events = row.result.app_events;
-  row.events_per_sec =
-      row.wall_seconds > 0
-          ? static_cast<double>(row.events) / row.wall_seconds
-          : 0;
-  const std::vector<double>& busy = sim.worker_busy_seconds();
-  if (!busy.empty() && row.wall_seconds > 0) {
-    double total = 0;
-    for (double b : busy) total += b;
-    row.efficiency =
-        total / (static_cast<double>(busy.size()) * row.wall_seconds);
+  FinishRow(sim.worker_busy_seconds(), sim.scheduler_steals(), &row);
+  return row;
+}
+
+// The "pull" baseline: one task per shard on a kSkewThreads-worker pool,
+// each replaying its shard to completion through the serial Simulator
+// with serial marking. Tasks enter through the pool's FIFO injector and
+// spawn nothing, so a worker holds a shard until it finishes.
+Row RunWholeShards(const SimulationConfig& config) {
+  const ConcurrentSimulator shape(config);
+  const uint32_t shards = shape.shard_count();
+  std::vector<SimulationResult> parts(shards);
+  std::vector<Status> status(shards, Status::Ok());
+  Row row;
+  const auto start = Clock::now();
+  {
+    TaskPool pool(kSkewThreads);
+    TaskPool::TaskGroup group;
+    for (uint32_t s = 0; s < shards; ++s) {
+      pool.Submit(&group, [&, s](TaskPool::Context&) {
+        SimulationConfig shard = shape.ShardConfig(s);
+        shard.heap.parallel_marking_threads = 0;
+        Simulator sim(shard);
+        status[s] = sim.Run();
+        if (status[s].ok()) parts[s] = sim.Finish();
+      });
+    }
+    pool.Wait(&group);
+    row.wall_seconds =
+        std::chrono::duration<double>(Clock::now() - start).count();
+    for (const Status& st : status) {
+      if (!st.ok()) bench::Fail(st, "mt_barrier_heavy (whole shards)");
+    }
+    row.result = ConcurrentSimulator::AggregateResults(parts);
+    row.result.seed = config.seed;
+    row.threads = kSkewThreads;
+    FinishRow(pool.BusySeconds(), pool.steals(), &row);
   }
-  row.steals = sim.scheduler_steals();
   return row;
 }
 
@@ -248,7 +294,7 @@ int main(int argc, char** argv) {
     if (!rows.empty() && !SameAggregate(rows.front().result, row.result)) {
       std::fprintf(stderr,
                    "aggregate result diverged between 1 and %u threads — "
-                   "the concurrent mode is broken\n",
+                   "the sharded runtime is broken\n",
                    threads);
       return 1;
     }
@@ -257,26 +303,22 @@ int main(int argc, char** argv) {
 
   std::printf("\nskewed shards (weights 1,1,1,1,1,1,1,8; MostGarbage; "
               "%u threads):\n", kSkewThreads);
-  SimulationConfig skew_pull = SkewedConfig();
-  skew_pull.shard_scheduler = ShardSchedulerKind::kPullQueue;
-  const Row pull = RunOnce(skew_pull);
-  std::printf("  pull-queue     wall=%8.3fs  events/sec=%12.0f\n",
+  const Row pull = RunWholeShards(SkewedConfig());
+  std::printf("  whole-shard    wall=%8.3fs  events/sec=%12.0f\n",
               pull.wall_seconds, pull.events_per_sec);
 
-  SimulationConfig skew_steal = SkewedConfig();
-  skew_steal.shard_scheduler = ShardSchedulerKind::kWorkStealing;
-  const Row steal = RunOnce(skew_steal);
+  const Row steal = RunOnce(SkewedConfig());
   const double measured_speedup =
       steal.wall_seconds > 0 ? pull.wall_seconds / steal.wall_seconds : 0;
-  std::printf("  work-stealing  wall=%8.3fs  events/sec=%12.0f"
+  std::printf("  batched        wall=%8.3fs  events/sec=%12.0f"
               "  busy/wall=%.2f  steals=%llu  speedup=%.2fx\n",
               steal.wall_seconds, steal.events_per_sec, steal.efficiency,
               static_cast<unsigned long long>(steal.steals),
               measured_speedup);
   if (!SameAggregate(pull.result, steal.result)) {
     std::fprintf(stderr,
-                 "aggregate result diverged between the pull-queue and "
-                 "work-stealing schedulers — the scheduler is broken\n");
+                 "aggregate result diverged between whole-shard tasks "
+                 "and the batch scheduler — the scheduler is broken\n");
     return 1;
   }
 

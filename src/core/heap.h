@@ -15,11 +15,11 @@ namespace odbgc {
 /// component stack).
 ///
 /// The facade exists so the application surface stays a stable,
-/// single-threaded mutator API while the engine grows concurrency hooks:
-/// internal layers (the concurrent simulator, the recovery engine) reach
-/// the engine through core() for epoch wiring and barrier-buffer flushes;
-/// applications never need to. Every forwarder is inline, so the split
-/// costs the hot paths nothing beyond one pointer indirection.
+/// single-threaded mutator API: internal layers (the simulators, the
+/// recovery engine) reach the engine through core() for engine-level
+/// state such as the marking pool; applications never need to. Every
+/// forwarder is inline, so the split costs the hot paths nothing beyond
+/// one pointer indirection.
 class CollectedHeap {
  public:
   explicit CollectedHeap(const HeapOptions& options)
@@ -36,7 +36,7 @@ class CollectedHeap {
   CollectedHeap& operator=(const CollectedHeap&) = delete;
 
   /// The engine, for internal layers that need more than the mutator API
-  /// (concurrency hooks, recovery). Application code should not need it.
+  /// (marking pool, recovery). Application code should not need it.
   HeapCore& core() { return *core_; }
   const HeapCore& core() const { return *core_; }
 

@@ -247,13 +247,8 @@ void HeapCore::OnSlotWrite(const SlotWriteEvent& event) {
 
   // Remembered-set maintenance: the write barrier sees inter-partition
   // references created and destroyed (synchronously or deferred,
-  // depending on the configured BarrierMode). In concurrent mode the
-  // event is parked in the single-writer buffer instead and replayed in
-  // program order at the next flush point (epoch tick / collection) —
-  // result-neutral because the index is only read after a flush.
-  if (buffer_barrier_events_) {
-    barrier_buffer_.push_back(event);
-  } else {
+  // depending on the configured BarrierMode).
+  {
     ScopedWallTimer timer(options_.profile_hot_paths
                               ? wall_timers_->index_maintenance
                               : nullptr);
@@ -351,9 +346,6 @@ Result<CollectionResult> HeapCore::CollectNow() {
 
 Result<CollectionResult> HeapCore::CollectPartition(PartitionId victim) {
   assert(!in_collection_);
-  // The collector reads the inter-partition index (victim roots), so any
-  // buffered barrier events must land first.
-  FlushBarrierBuffer();
   std::vector<ObjectId> extra_roots;
   if (!newborn_.is_null() && store_->Exists(newborn_)) {
     extra_roots.push_back(newborn_);
@@ -411,7 +403,6 @@ Result<CollectionResult> HeapCore::CollectPartition(PartitionId victim) {
 
 Result<GlobalCollectionResult> HeapCore::CollectFullDatabase() {
   assert(!in_collection_);
-  FlushBarrierBuffer();
   std::vector<ObjectId> extra_roots;
   if (!newborn_.is_null() && store_->Exists(newborn_)) {
     extra_roots.push_back(newborn_);
@@ -450,29 +441,6 @@ Result<GlobalCollectionResult> HeapCore::CollectFullDatabase() {
   }
   NoteFootprint();
   return result;
-}
-
-void HeapCore::EnableConcurrentMode(EpochManager* epochs) {
-  assert(epochs != nullptr);
-  epochs_ = epochs;
-  buffer_barrier_events_ = true;
-  store_->EnableDeferredReclamation(epochs);
-}
-
-void HeapCore::FlushBarrierBuffer() {
-  if (barrier_buffer_.empty()) return;
-  ScopedWallTimer timer(options_.profile_hot_paths
-                            ? wall_timers_->index_maintenance
-                            : nullptr);
-  for (const SlotWriteEvent& event : barrier_buffer_) {
-    barrier_->OnSlotWrite(event);
-  }
-  barrier_buffer_.clear();
-}
-
-void HeapCore::OnEpochTick() {
-  FlushBarrierBuffer();
-  if (epochs_ != nullptr) store_->ReclaimDeferredSlots();
 }
 
 void HeapCore::ResetMeasurement() {

@@ -22,7 +22,6 @@
 #include "storage/file_device.h"
 #include "storage/page_device.h"
 #include "storage/ssd_device.h"
-#include "util/epoch.h"
 #include "util/metrics_registry.h"
 #include "util/phase_timer.h"
 #include "util/status.h"
@@ -203,9 +202,9 @@ struct HeapStats {
 ///
 /// Applications use the CollectedHeap facade (core/heap.h), which
 /// forwards the mutator API here; internal layers — the simulators, the
-/// recovery engine — reach through the facade for the engine-level
-/// concurrency hooks (EnableConcurrentMode / OnEpochTick /
-/// FlushBarrierBuffer, DESIGN.md §14).
+/// recovery engine — reach through the facade for engine-level state
+/// such as the marking pool. The engine is single-threaded: one mutator
+/// drives it at a time (DESIGN.md §14).
 class HeapCore : private SlotWriteObserver {
  public:
   explicit HeapCore(const HeapOptions& options);
@@ -264,37 +263,6 @@ class HeapCore : private SlotWriteObserver {
 
   /// Partitions eligible for collection right now.
   std::vector<PartitionId> CollectionCandidates() const;
-
-  // -- Concurrency hooks (DESIGN.md §14) -----------------------------------
-
-  /// Switches the engine into concurrent-mode operation under a shared
-  /// epoch manager (owned by the concurrent simulator, shared across
-  /// every shard heap):
-  ///   - the object store defers table-slot reclamation through
-  ///     per-partition epoch-gated garbage lists (no slot is recycled
-  ///     until every thread has passed the retire epoch);
-  ///   - write-barrier events are buffered thread-locally (this engine is
-  ///     single-writer: its owning mutator thread) and flushed to the
-  ///     remembered-set index at epoch boundaries and before any
-  ///     collection or index read.
-  /// Both transformations are result-neutral — simulated results stay
-  /// bit-identical to serial mode — because object ids are never reused,
-  /// table-slot indices are unobservable, and the inter-partition index
-  /// is only read at flush points. The equivalence suite holds the serial
-  /// oracle to that claim.
-  void EnableConcurrentMode(EpochManager* epochs);
-
-  /// Epoch-boundary maintenance: flushes the barrier buffer and returns
-  /// grace-period-expired table slots to the store's freelist. Called by
-  /// the concurrent simulator each time it advances the shared epoch.
-  void OnEpochTick();
-
-  /// Replays buffered write-barrier events into the remembered-set index,
-  /// in program order. Idempotent; no-op in serial mode.
-  void FlushBarrierBuffer();
-
-  /// Buffered barrier events not yet applied to the index (diagnostics).
-  size_t pending_barrier_events() const { return barrier_buffer_.size(); }
 
   // -- Introspection ---------------------------------------------------------
 
@@ -408,12 +376,6 @@ class HeapCore : private SlotWriteObserver {
   const ObjectStore* policy_store_view_ = nullptr;
   std::unique_ptr<CopyingCollector> collector_;
   std::unique_ptr<GlobalMarkCollector> global_collector_;
-
-  // Concurrent mode (EnableConcurrentMode): shared epoch manager and the
-  // single-writer buffer of pending write-barrier events.
-  EpochManager* epochs_ = nullptr;
-  bool buffer_barrier_events_ = false;
-  std::vector<SlotWriteEvent> barrier_buffer_;
 
   HeapStats stats_;
   uint32_t overwrites_since_collection_ = 0;

@@ -88,7 +88,6 @@ Result<std::unique_ptr<ObjectStore>> ObjectStore::Restore(
     return Status::Corruption("image: implausible next_id");
   }
   store->next_id_ = image.next_id;
-  store->published_next_id_.store(image.next_id, std::memory_order_release);
   store->id_to_slot_.assign(image.next_id, kNoSlot);
 
   // First pass: register every object (bounds + uniqueness checks).
@@ -276,10 +275,6 @@ Result<ObjectId> ObjectStore::Allocate(uint32_t size, uint32_t num_slots,
   partitions_[pid].AddObject(offset, id);
   live_bytes_ += size;
   ++live_count_;
-  // Release-publish the new id only after its table entry is complete: a
-  // concurrent reader that acquire-loads the watermark sees a fully
-  // initialized ObjectInfo.
-  published_next_id_.store(next_id_, std::memory_order_release);
 
   // Serialize header + null slots; charge writes covering the whole new
   // object (a freshly created object is written in its entirety).
@@ -461,56 +456,13 @@ Status ObjectStore::DropObject(ObjectId object) {
   partitions_[info->partition].RemoveObject(info->offset);
   live_bytes_ -= info->size;
   // Recycle the table slot; clear() keeps the slot vector's capacity for
-  // the next object that lands here. In concurrent mode the slot is
-  // parked on the dying object's partition's epoch-gated list instead,
-  // and only reaches the freelist once every thread has passed the
-  // current epoch (ReclaimDeferredSlots).
-  const PartitionId home = info->partition;
+  // the next object that lands here.
   info->partition = kInvalidPartition;
   info->slots.clear();
-  const uint32_t slot = id_to_slot_[object.value];
+  free_slots_.push_back(id_to_slot_[object.value]);
   id_to_slot_[object.value] = kNoSlot;
-  if (epochs_ == nullptr) {
-    free_slots_.push_back(slot);
-  } else {
-    if (slot_garbage_.size() <= home) slot_garbage_.resize(home + 1);
-    slot_garbage_[home].Retire(slot, epochs_->current_epoch());
-  }
   --live_count_;
   return Status::Ok();
-}
-
-void ObjectStore::EnableDeferredReclamation(EpochManager* epochs) {
-  epochs_ = epochs;
-  slot_garbage_.resize(partitions_.size());
-}
-
-size_t ObjectStore::ReclaimDeferredSlots() {
-  if (epochs_ == nullptr) return 0;
-  const uint64_t safe = epochs_->SafeEpoch();
-  size_t total = 0;
-  for (EpochGarbageList<uint32_t>& list : slot_garbage_) {
-    total += list.ReclaimUpTo(
-        safe, [this](uint32_t slot) { free_slots_.push_back(slot); });
-  }
-  return total;
-}
-
-size_t ObjectStore::DrainDeferredSlots() {
-  size_t total = 0;
-  for (EpochGarbageList<uint32_t>& list : slot_garbage_) {
-    total += list.DrainAll(
-        [this](uint32_t slot) { free_slots_.push_back(slot); });
-  }
-  return total;
-}
-
-size_t ObjectStore::deferred_slot_count() const {
-  size_t total = 0;
-  for (const EpochGarbageList<uint32_t>& list : slot_garbage_) {
-    total += list.size();
-  }
-  return total;
 }
 
 Status ObjectStore::SwapEmptyPartition(PartitionId id) {

@@ -1,7 +1,6 @@
 #ifndef ODBGC_ODB_OBJECT_STORE_H_
 #define ODBGC_ODB_OBJECT_STORE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -10,8 +9,6 @@
 #include "odb/object_layout.h"
 #include "odb/partition.h"
 #include "storage/page_device.h"
-#include "util/epoch.h"
-#include "util/epoch_garbage_list.h"
 #include "util/status.h"
 
 namespace odbgc {
@@ -283,39 +280,6 @@ class ObjectStore {
   /// Used by the weight machinery, whose updates rewrite the header byte.
   Status TouchHeader(ObjectId object, AccessMode mode);
 
-  // -- Concurrent mode (DESIGN.md §14) --------------------------------------
-
-  /// Switches the table to epoch-deferred slot reclamation: DropObject
-  /// parks the freed table slot on the dying object's partition's
-  /// epoch-gated garbage list instead of recycling it immediately, and
-  /// slots flow back to the freelist via ReclaimDeferredSlots once the
-  /// manager's SafeEpoch covers their retire epoch — so a concurrent
-  /// reader that resolved an id to a slot inside an epoch-pinned section
-  /// never sees that slot's ObjectInfo repurposed under it. Result-
-  /// neutral: ids are never reused and slot indices are unobservable, so
-  /// simulated results stay bit-identical to immediate recycling.
-  void EnableDeferredReclamation(EpochManager* epochs);
-
-  /// Returns grace-period-expired deferred slots to the freelist. Called
-  /// at epoch boundaries; returns the number reclaimed.
-  size_t ReclaimDeferredSlots();
-
-  /// Reclaims every deferred slot regardless of epoch — end-of-run/join
-  /// point, after all mutator threads have unregistered.
-  size_t DrainDeferredSlots();
-
-  /// Table slots currently parked awaiting their grace period.
-  size_t deferred_slot_count() const;
-
-  /// Atomic publication watermark: the number of object ids fully
-  /// initialized and visible to other threads. Allocate release-publishes
-  /// after the table entry is complete (the dynarray-publication pattern
-  /// from the concurrency design notes), so a cross-thread reader that
-  /// acquire-loads this bound may safely Lookup any id below it.
-  uint64_t published_object_count() const {
-    return published_next_id_.load(std::memory_order_acquire) - 1;
-  }
-
   // -- Raw byte access (tests, integrity checks) ---------------------------
 
   /// Reads `out.size()` bytes starting at (partition, offset) through the
@@ -421,14 +385,6 @@ class ObjectStore {
   size_t live_count_ = 0;
   uint64_t next_id_ = 1;
   uint64_t live_bytes_ = 0;
-
-  // Concurrent mode (EnableDeferredReclamation): shared epoch manager,
-  // per-partition epoch-gated lists of retired table slots, and the
-  // release-published id watermark. Null epochs_ = serial mode, immediate
-  // slot recycling.
-  EpochManager* epochs_ = nullptr;
-  std::vector<EpochGarbageList<uint32_t>> slot_garbage_;
-  std::atomic<uint64_t> published_next_id_{1};
 
   std::vector<ObjectId> roots_;
 };

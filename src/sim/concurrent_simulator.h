@@ -7,35 +7,39 @@
 
 #include "sim/config.h"
 #include "sim/metrics.h"
-#include "util/epoch.h"
 #include "util/metrics_registry.h"
 #include "util/status.h"
 
 namespace odbgc {
 
-/// The sharded multi-threaded mutator/collector mode (DESIGN.md §14).
+/// The sharded multi-threaded runtime (DESIGN.md §14).
 ///
 /// The run's workload is split into `trace_shards` deterministic shards —
 /// each an independently seeded generator stream over a proportional
-/// slice of the allocation volume, driving its own heap. Shards are the
-/// determinism unit: a shard's event stream and heap are a pure function
-/// of (config, shard index), never of thread scheduling. Threads are the
-/// parallelism unit: `mutator_threads` workers pull shard indices from a
-/// shared queue, so any thread may run any shard, and a 1-thread
-/// concurrent run performs the identical shard sequence serially.
+/// slice of the allocation volume, driving its own private heap. Shards
+/// are the determinism unit: a shard's event stream and heap are a pure
+/// function of (config, shard index), never of thread scheduling. Threads
+/// are the parallelism unit: `mutator_threads` workers of one
+/// work-stealing TaskPool (DESIGN.md §15) run the shards.
 ///
-/// Every shard heap runs in concurrent mode under one shared
-/// EpochManager: mutators pin the epoch around event batches, table-slot
-/// reclamation is grace-period-gated across ALL threads' pins, and
-/// write-barrier events buffer between epoch ticks. All of it is
-/// result-neutral, which is the mode's verification story:
+/// Every shard heap runs the same serial engine code as Simulator and
+/// HeapService tenants. A shard's event stream is cut into batches of
+/// events; each batch runs as one task and, when it is done, submits the
+/// shard's next batch as its continuation. So exactly one batch per shard
+/// is in flight, its stream applies strictly in order, and the pool's
+/// deque hand-off orders one batch's heap writes before the next batch's
+/// reads, whichever worker runs it. Idle workers steal other shards'
+/// batches and, when parallel marking is enabled, marking strips of a
+/// busy shard's census. Nothing else is shared between shards, so no
+/// epoch or lock guards a heap. The verification story:
 ///
 ///   ConcurrentSimulator(config with N threads).Run+Finish
 ///     == aggregate of each shard replayed through the serial Simulator
 ///
-/// bitwise, for every field except wall-clock/measured ones. The
-/// equivalence suite (tests/sim/concurrent_equivalence_test.cc) holds
-/// all six paper policies to this.
+/// bitwise, for every field except wall-clock/measured ones, and for any
+/// thread count. The equivalence suites (tests/sim/
+/// concurrent_equivalence_test.cc, work_stealing_equivalence_test.cc)
+/// hold all six paper policies to this.
 ///
 /// Aggregation over shard results is per-field summation (I/O, events,
 /// allocation, reclamation, remembered-set entries, estimated device
@@ -44,23 +48,15 @@ namespace odbgc {
 /// merge through MergeMetricSamples. Time series are a per-shard notion
 /// and stay empty in the aggregate.
 ///
-/// Scheduling (DESIGN.md §15): `config.shard_scheduler` picks how shards
-/// meet threads. The default work-stealing scheduler cuts every shard's
-/// event stream into epoch-sized batches executed as tasks on a shared
-/// TaskPool — one in-flight batch per shard (so each shard's stream still
-/// applies strictly in order on one thread at a time), with idle workers
-/// stealing other shards' batches and, when parallel marking is enabled,
-/// marking strips of a busy shard's census. The pull-queue scheduler is
-/// the PR 7 baseline (threads run whole shards to completion), kept
-/// selectable for the A/B scheduler bench. Either way the aggregate is
-/// bitwise identical — scheduling is unobservable in results
-/// (tests/sim/work_stealing_equivalence_test.cc).
-///
 /// Not supported (rejected by Run): durability (wal_dir /
 /// checkpoint_every_rounds — checkpointing a multi-heap run is future
-/// work), and mutator_threads > shard count or > EpochManager::kMaxThreads.
+/// work), and mutator_threads > shard count or > kMaxMutatorThreads.
 class ConcurrentSimulator {
  public:
+  /// Upper bound on mutator_threads: keeps CLI input from asking for an
+  /// unbounded number of worker threads.
+  static constexpr uint32_t kMaxMutatorThreads = 64;
+
   explicit ConcurrentSimulator(const SimulationConfig& config);
 
   /// Validates the concurrency configuration, then runs every shard to
@@ -86,11 +82,8 @@ class ConcurrentSimulator {
     return shard_wall_metrics_;
   }
 
-  /// The epoch manager the run's heaps share (tests/diagnostics).
-  const EpochManager& epochs() const { return epochs_; }
-
   /// Per-worker wall time spent executing scheduler tasks, in seconds
-  /// (work-stealing runs only; empty after a pull-queue run). busy/wall
+  /// (valid after Run). busy/wall
   /// per worker is the scheduler-efficiency number the concurrency bench
   /// reports. Nested helping (a worker executing other tasks while it
   /// waits on a marking wave) double-counts the nested span in its outer
@@ -100,7 +93,7 @@ class ConcurrentSimulator {
   }
 
   /// Batches that executed on a different worker than the one that
-  /// enqueued them (work-stealing runs only) — the load-balancing
+  /// enqueued them — the load-balancing
   /// diagnostic: zero on a balanced run means stealing never needed to
   /// kick in; large on a skewed run means it did its job.
   uint64_t scheduler_steals() const { return scheduler_steals_; }
@@ -122,14 +115,8 @@ class ConcurrentSimulator {
 
  private:
   Status ValidateConcurrency() const;
-  // The PR 7 scheduler: whole shards pulled from a shared queue.
-  Status RunPullQueue();
-  // The work-stealing scheduler: per-shard batch continuations on a
-  // TaskPool, with the pool doubling as the shards' parallel-marking pool.
-  Status RunWorkStealing();
 
   SimulationConfig config_;
-  EpochManager epochs_;
   bool ran_ = false;
   std::vector<SimulationResult> shard_results_;
   std::vector<std::vector<MetricSample>> shard_wall_metrics_;

@@ -10,25 +10,6 @@
 
 namespace odbgc {
 
-/// How a concurrent run's shards are scheduled onto mutator threads
-/// (DESIGN.md §15). Pure scheduling — aggregate results are bitwise
-/// identical under either (and under any thread count), which is what
-/// lets the scheduler be a performance knob instead of an experiment
-/// axis.
-enum class ShardSchedulerKind {
-  /// Work-stealing (the default): each shard's event stream is cut into
-  /// epoch-sized batches that run as tasks on a shared work-stealing
-  /// pool, so a thread that finishes its shards steals batch work —
-  /// including parallel-marking strips — from loaded ones. Skew-resistant:
-  /// one oversized shard no longer pins the run to one core's throughput.
-  kWorkStealing,
-  /// The PR 7 baseline: threads pull whole shards from a shared queue and
-  /// run each to completion (greedy, no preemption, serial marking).
-  /// Kept selectable for A/B scheduler benchmarking
-  /// (bench/mt_barrier_heavy.cc) and as the fallback of record.
-  kPullQueue,
-};
-
 /// One simulation run: a heap configuration, a workload, and a seed.
 /// Replaying the same (workload, seed) against heaps that differ only in
 /// policy is the paper's controlled comparison.
@@ -55,10 +36,10 @@ struct SimulationConfig {
   /// Directory for WAL segments and checkpoint files. Empty disables
   /// durability entirely (the default: plain in-memory simulation).
   std::string wal_dir;
-  /// Concurrency (DESIGN.md §14): mutator threads replaying the run's
-  /// workload shards against per-shard heaps under a shared epoch
-  /// manager. 1 (the default) is plain serial simulation through
-  /// Simulator; >1 routes through ConcurrentSimulator. Must not exceed
+  /// Concurrency (DESIGN.md §14): worker threads replaying the run's
+  /// workload shards, each against its own private heap. 1 (the default)
+  /// is plain serial simulation through Simulator; >1 routes through
+  /// ConcurrentSimulator (at most its kMaxMutatorThreads). Must not exceed
   /// the shard count (a thread with no shard to own is a configuration
   /// error, rejected at Run). An experiment axis: recorded in manifests
   /// but excluded from the config digest, because the aggregate result
@@ -70,17 +51,13 @@ struct SimulationConfig {
   /// mutator_threads varies). 0 (the default) means one shard per
   /// mutator thread. Ignored in serial runs.
   uint32_t trace_shards = 0;
-  /// Shard-to-thread scheduling strategy for concurrent runs. Not an
-  /// experiment axis (results are scheduler-invariant); not recorded in
-  /// manifests.
-  ShardSchedulerKind shard_scheduler = ShardSchedulerKind::kWorkStealing;
   /// Optional per-shard workload weights: shard i receives a slice of the
   /// total allocation volume proportional to shard_weights[i] (floor-of-
   /// cumulative-sums split, so slices always telescope to the exact
   /// total). Empty (the default) keeps the equal split. Size must equal
   /// the shard count and weights must be positive (validated at Run).
-  /// A bench/test knob for skewed-load scheduling experiments — like the
-  /// scheduler, deliberately not part of manifests.
+  /// A bench/test knob for skewed-load scheduling experiments —
+  /// deliberately not part of manifests.
   std::vector<double> shard_weights;
 };
 

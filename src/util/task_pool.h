@@ -48,7 +48,7 @@ class TaskPool {
  public:
   /// Worker identity passed to every task. `worker_index` is stable for
   /// the life of the pool and < worker_count() — clients key per-thread
-  /// state (epoch slots, scratch) off it.
+  /// state (scratch) off it.
   struct Context {
     TaskPool* pool = nullptr;
     uint32_t worker_index = 0;

@@ -1,4 +1,4 @@
-// The concurrent mode's verification contract (sim/concurrent_simulator.h):
+// The sharded runtime's verification contract (sim/concurrent_simulator.h):
 // a multi-threaded run's aggregate result must equal, field for field, the
 // aggregate of its shards each replayed through the plain serial Simulator.
 // Held here for all six paper policies, and across thread counts — the
@@ -158,17 +158,6 @@ TEST(ConcurrentSimulatorTest, ShardSlicesCoverTheAllocationVolume) {
   EXPECT_EQ(total, config.workload.total_alloc_bytes);
 }
 
-TEST(ConcurrentSimulatorTest, EpochMachineryIsExercised) {
-  const SimulationConfig config = SmallConcurrent("UpdatedPointer");
-  ConcurrentSimulator sim(config);
-  ASSERT_TRUE(sim.Run().ok());
-  // The pacer ticked the epoch at least once per batch, and every worker
-  // unpinned and unregistered on exit.
-  EXPECT_GT(sim.epochs().current_epoch(), 1u);
-  EXPECT_TRUE(sim.epochs().AllQuiescent());
-  EXPECT_EQ(sim.epochs().registered_threads(), 0u);
-}
-
 TEST(ConcurrentSimulatorTest, RunnerRoutesMutatorThreadsInvariantly) {
   // RunExperiment dispatches mutator_threads > 1 through the concurrent
   // simulator; the experiment-level results must still be thread-count
@@ -202,6 +191,16 @@ TEST(ConcurrentSimulatorTest, RejectsMoreThreadsThanShards) {
   SimulationConfig config = SmallConcurrent("Random");
   config.mutator_threads = 8;
   config.trace_shards = 4;
+  ConcurrentSimulator sim(config);
+  EXPECT_EQ(sim.Run().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ConcurrentSimulatorTest, RejectsMoreThanMaxMutatorThreads) {
+  // Validation runs before the worker pool is built, so this starts no
+  // thread.
+  SimulationConfig config = SmallConcurrent("Random");
+  config.mutator_threads = ConcurrentSimulator::kMaxMutatorThreads + 1;
+  config.trace_shards = ConcurrentSimulator::kMaxMutatorThreads + 1;
   ConcurrentSimulator sim(config);
   EXPECT_EQ(sim.Run().code(), StatusCode::kInvalidArgument);
 }
