@@ -4,18 +4,19 @@
 // 1. Shared-vs-private identity: each fleet size run at one thread over
 //    the physically shared frame arena and again over private per-tenant
 //    pools. The aggregates must match exactly (the §17 byte-identity
-//    contract); the two events/sec figures price the arena's residency
-//    table against private pools.
+//    contract); the two events/sec figures price borrowing frames from
+//    the arena against private pools.
 //
 // 2. Fleet scaling: fleets of 4/8/16 tenants (policies cycled across the
 //    registry, one seed per tenant) hosted unpressured at 1, 2 and 4
-//    service threads over the shared arena, with K-step round batching
-//    (steps_per_round = 8) amortizing barrier and wake/park overhead.
-//    Tenants are the determinism units, so every row of a fleet must
-//    produce the identical aggregate regardless of thread count (checked
-//    here — a scaling probe that changed the answer would be worthless).
-//    Small fleets ride the service's inline-round path instead of paying
-//    TaskPool churn, so the 4-tenant rows must no longer lose to serial.
+//    service threads over the shared arena, steps_per_round = 8. With no
+//    watermark and an arena as large as the summed quotas, nothing is
+//    due between rounds, so each fleet runs as one segment: every tenant
+//    is one stealable task and one barrier ends the run (the `barriers`
+//    column). Tenants are the determinism units, so every row of a fleet
+//    must produce the identical aggregate regardless of thread count
+//    (checked here — a scaling probe that changed the answer would be
+//    worthless).
 //
 // 3. Pressure saturation: a fixed 8-tenant fleet with the admission
 //    watermark armed at 0.5, swept across shared budgets from the full
@@ -283,11 +284,12 @@ int main(int argc, char** argv) {
                                  ? row.events_per_sec / baseline_events_per_sec
                                  : 1.0;
       std::printf("  tenants=%-3u threads=%u  events=%-9llu wall=%7.3fs"
-                  "  events/sec=%11.0f  speedup=%.2fx\n",
+                  "  events/sec=%11.0f  speedup=%.2fx  barriers=%llu\n",
                   tenants, threads,
                   static_cast<unsigned long long>(
                       row.result.aggregate.app_events),
-                  row.wall_seconds, row.events_per_sec, speedup);
+                  row.wall_seconds, row.events_per_sec, speedup,
+                  static_cast<unsigned long long>(row.result.barriers));
       if (threads != 1 &&
           !SameAggregate(baseline_aggregate, row.result.aggregate)) {
         std::fprintf(stderr,
@@ -317,12 +319,12 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("  small fleet (%u tenants) best multi-thread speedup: %.2fx"
-              " (inline rounds + batching — must not lose to serial)\n",
+              " (segments — must not lose to serial)\n",
               fleets.front(), small_fleet_speedup);
 
   // Machine-independent critical-path view (mt_barrier_heavy's pattern):
-  // each round is a barrier over the runnable tenants, so the best a
-  // T-thread round can do is the largest bin of an LPT packing of the
+  // the open fleet runs as one segment of whole-tenant tasks, so the best
+  // T threads can do is the largest bin of an LPT packing of the
   // per-tenant work into T bins. Per-tenant app_events from the 1-thread
   // run stand in for work; for the fleet's near-equal tenants the model
   // collapses to tenants / ceil(tenants / threads).
@@ -479,7 +481,8 @@ int main(int argc, char** argv) {
          << ", \"events\": " << r.result.aggregate.app_events
          << ", \"wall_seconds\": " << r.wall_seconds
          << ", \"events_per_sec\": " << r.events_per_sec
-         << ", \"rounds\": " << r.result.rounds << "}"
+         << ", \"rounds\": " << r.result.rounds
+         << ", \"barriers\": " << r.result.barriers << "}"
          << (i + 1 < scaling.size() ? "," : "") << "\n";
   }
   json << "  ],\n  \"aggregate_invariant\": true,\n";

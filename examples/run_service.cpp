@@ -233,8 +233,10 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(result.aggregate.collections),
       static_cast<unsigned long long>(result.forced_collections));
   std::printf(
-      "service: %llu rounds, %llu admission stalls, %llu forced admissions\n",
+      "service: %llu rounds, %llu barriers, %llu admission stalls, %llu "
+      "forced admissions\n",
       static_cast<unsigned long long>(result.rounds),
+      static_cast<unsigned long long>(result.barriers),
       static_cast<unsigned long long>(result.admission_stalls),
       static_cast<unsigned long long>(result.forced_admissions));
   std::printf(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 #include <utility>
 
 #include "buffer/frame_arena.h"
@@ -31,7 +32,7 @@ BufferPool::BufferPool(PageDevice* device, size_t frame_count,
       frame_count_(frame_count),
       policy_(MakeReplacementPolicy(policy, frame_count)),
       frames_(frame_count),
-      page_to_frame_(arena != nullptr ? 0 : frame_count),
+      page_to_frame_(frame_count),
       arena_(arena),
       arena_tenant_(arena_tenant),
       hits_(registry_->Register("buffer.hits")),
@@ -63,13 +64,10 @@ uint32_t BufferPool::AllocFrame() {
 Result<std::span<std::byte>> BufferPool::GetPage(PageId page,
                                                  AccessMode mode) {
   ODBGC_DCHECK_EXCLUSIVE(&access_check_, "BufferPool::GetPage");
-  // Shared-arena residency lives in the arena's striped table under the
-  // (tenant, page) composite key; everything else — counters, policy
-  // calls, quota math — is identical in both modes, which is the
-  // byte-identity contract (DESIGN.md §17).
-  const uint32_t resident = arena_ != nullptr
-                                ? arena_->FindSlot(arena_tenant_, page)
-                                : page_to_frame_.Find(page);
+  // Residency, counters, policy calls and quota math are identical in
+  // both modes, which is the byte-identity contract (DESIGN.md §17); only
+  // where a slot's bytes live differs.
+  const uint32_t resident = page_to_frame_.Find(page);
   if (resident != OpenIndexMap::kEmptyValue) {
     registry_->Count(hits_);
     policy_->OnHit(resident);
@@ -79,30 +77,30 @@ Result<std::span<std::byte>> BufferPool::GetPage(PageId page,
   }
 
   registry_->Count(misses_);
-  if (arena_ != nullptr) return FillShared(page, mode);
-
-  // Evict the policy's victim if the pool is full; its frame is reused
-  // for the incoming page.
+  // Evict the policy's victim if the pool is full; its frame (and, in
+  // shared-arena mode, its borrowed arena frame) is reused for the
+  // incoming page.
   uint32_t slot;
   if (resident_count_ >= frame_count_) {
-    const uint32_t victim = policy_->ChooseVictim();
-    Frame& evicted = frames_[victim];
-    ODBGC_RETURN_IF_ERROR(WriteBack(evicted));
-    policy_->OnEvict(victim);
-    page_to_frame_.Erase(evicted.page);
-    evicted.page = kInvalidPageId;
-    --resident_count_;
-    slot = victim;
+    ODBGC_RETURN_IF_ERROR(EvictSlot(&slot));
   } else {
     slot = AllocFrame();
+    if (arena_ != nullptr) ODBGC_RETURN_IF_ERROR(BorrowArenaFrame(&slot));
   }
 
   Frame& frame = frames_[slot];
-  if (frame.data.empty()) frame.data.resize(device_->page_size());
-  const Status read =
-      device_->ReadPage(page, std::span<std::byte>(frame.data));
+  std::vector<std::byte>& bytes = FrameBytes(frame);
+  // Sized lazily on first use; arena frames also migrate between tenants
+  // whose devices may differ in page size.
+  if (bytes.size() != device_->page_size()) bytes.resize(device_->page_size());
+  const Status read = device_->ReadPage(page, std::span<std::byte>(bytes));
   if (!read.ok()) {
-    // The page never became resident; return the frame to the free pool.
+    // The page never became resident; the slot returns to the free pool
+    // and a borrowed frame goes back to the arena.
+    if (arena_ != nullptr) {
+      arena_->ReleaseFrame(frame.arena_frame);
+      frame.arena_frame = UINT32_MAX;
+    }
     free_frames_.push_back(slot);
     return read;
   }
@@ -112,73 +110,45 @@ Result<std::span<std::byte>> BufferPool::GetPage(PageId page,
   policy_->OnInsert(slot, page);
   page_to_frame_.Insert(page, slot);
   ++resident_count_;
-  return std::span<std::byte>(frame.data);
+  return std::span<std::byte>(bytes);
 }
 
-Status BufferPool::EvictSlotShared(uint32_t* slot) {
+Status BufferPool::EvictSlot(uint32_t* slot) {
   const uint32_t victim = policy_->ChooseVictim();
   Frame& evicted = frames_[victim];
   ODBGC_RETURN_IF_ERROR(WriteBack(evicted));
   policy_->OnEvict(victim);
-  arena_->EraseSlot(arena_tenant_, evicted.page);
+  page_to_frame_.Erase(evicted.page);
   evicted.page = kInvalidPageId;
   --resident_count_;
-  *slot = victim;  // The borrowed frame stays attached for the newcomer.
+  *slot = victim;
   return Status::Ok();
 }
 
-Result<std::span<std::byte>> BufferPool::FillShared(PageId page,
-                                                    AccessMode mode) {
-  uint32_t slot;
-  if (resident_count_ >= frame_count_) {
-    // Quota full: evict this tenant's own victim — the same decision, in
-    // the same order, a private pool of frame_count_ frames would make.
-    ODBGC_RETURN_IF_ERROR(EvictSlotShared(&slot));
-  } else {
-    slot = AllocFrame();
-    if (frames_[slot].arena_frame == UINT32_MAX) {
-      const uint32_t physical = arena_->TryAllocFrame();
-      if (physical != SharedFrameArena::kNoFrame) {
-        frames_[slot].arena_frame = physical;
-      } else {
-        // Squeeze: the arena is exhausted while this tenant is under its
-        // quota (the fleet is overcommitted past the admission bound).
-        // Self-evict our own victim rather than stealing another tenant's
-        // frame — cross-tenant theft would wreck their determinism, not
-        // just ours. Counted: invariance gates require zero squeezes.
-        free_frames_.push_back(slot);
-        if (resident_count_ == 0) {
-          return Status::ResourceExhausted(
-              "shared frame arena exhausted and tenant holds no frame to "
-              "squeeze; raise the budget or arm the admission watermark");
-        }
-        ODBGC_RETURN_IF_ERROR(EvictSlotShared(&slot));
-        ++squeezed_evictions_;
-        arena_->NoteSqueezedEviction();
-      }
-    }
+Status BufferPool::BorrowArenaFrame(uint32_t* slot) {
+  if (frames_[*slot].arena_frame != UINT32_MAX) return Status::Ok();
+  const uint32_t physical = arena_->TryAllocFrame();
+  if (physical != SharedFrameArena::kNoFrame) {
+    frames_[*slot].arena_frame = physical;
+    return Status::Ok();
   }
-
-  Frame& frame = frames_[slot];
-  std::vector<std::byte>& bytes = arena_->FrameData(frame.arena_frame);
-  // Frames migrate between tenants whose devices may differ in page size.
-  if (bytes.size() != device_->page_size()) bytes.resize(device_->page_size());
-  const Status read = device_->ReadPage(page, std::span<std::byte>(bytes));
-  if (!read.ok()) {
-    // The page never became resident; the slot returns to the free pool
-    // and the borrowed frame goes back to the arena.
-    arena_->ReleaseFrame(frame.arena_frame);
-    frame.arena_frame = UINT32_MAX;
-    free_frames_.push_back(slot);
-    return read;
+  // Squeeze: the arena is exhausted while this tenant is under its quota
+  // (the fleet is overcommitted past the admission bound). Self-evict our
+  // own victim rather than stealing another tenant's frame — cross-tenant
+  // theft would wreck their determinism, not just ours. Counted:
+  // invariance gates require zero squeezes.
+  free_frames_.push_back(*slot);
+  if (resident_count_ == 0) {
+    return Status::ResourceExhausted(
+        "shared frame arena exhausted and tenant " +
+        std::to_string(arena_tenant_) +
+        " holds no frame to squeeze; raise the budget or arm the admission "
+        "watermark");
   }
-  registry_->Count(reads_);
-  frame.page = page;
-  frame.dirty = (mode == AccessMode::kWrite);
-  policy_->OnInsert(slot, page);
-  arena_->InsertSlot(arena_tenant_, page, slot);
-  ++resident_count_;
-  return std::span<std::byte>(bytes);
+  ODBGC_RETURN_IF_ERROR(EvictSlot(slot));
+  ++squeezed_evictions_;
+  arena_->NoteSqueezedEviction();
+  return Status::Ok();
 }
 
 std::vector<std::byte>& BufferPool::FrameBytes(Frame& frame) {
@@ -237,37 +207,26 @@ void BufferPool::PrefetchExtent(const PageExtent& extent) {
 
 void BufferPool::DiscardExtent(const PageExtent& extent) {
   ODBGC_DCHECK_EXCLUSIVE(&access_check_, "BufferPool::DiscardExtent");
-  if (arena_ != nullptr) {
-    // Discarded slots hand their borrowed frames straight back (one
-    // allocator lock for the whole extent) — a collected partition's
-    // residency becomes other tenants' headroom immediately.
-    std::vector<uint32_t> released;
-    for (PageId p = extent.first_page; p < extent.end_page(); ++p) {
-      const uint32_t slot = arena_->FindSlot(arena_tenant_, p);
-      if (slot == SharedFrameArena::kNoFrame) continue;
-      policy_->OnErase(slot);
-      arena_->EraseSlot(arena_tenant_, p);
-      Frame& frame = frames_[slot];
-      released.push_back(frame.arena_frame);
-      frame.arena_frame = UINT32_MAX;
-      frame.page = kInvalidPageId;
-      frame.dirty = false;
-      free_frames_.push_back(slot);
-      --resident_count_;
-    }
-    arena_->ReleaseFrames(released);
-    return;
-  }
+  // In shared-arena mode discarded slots hand their borrowed frames
+  // straight back (one allocator lock for the whole extent) — a collected
+  // partition's residency becomes other tenants' headroom immediately.
+  std::vector<uint32_t> released;
   for (PageId p = extent.first_page; p < extent.end_page(); ++p) {
     const uint32_t slot = page_to_frame_.Find(p);
     if (slot == OpenIndexMap::kEmptyValue) continue;
     policy_->OnErase(slot);
     page_to_frame_.Erase(p);
-    frames_[slot].page = kInvalidPageId;
-    frames_[slot].dirty = false;
+    Frame& frame = frames_[slot];
+    if (arena_ != nullptr) {
+      released.push_back(frame.arena_frame);
+      frame.arena_frame = UINT32_MAX;
+    }
+    frame.page = kInvalidPageId;
+    frame.dirty = false;
     free_frames_.push_back(slot);
     --resident_count_;
   }
+  if (arena_ != nullptr) arena_->ReleaseFrames(released);
 }
 
 void BufferPool::ReleaseArenaFrames() {
@@ -277,17 +236,15 @@ void BufferPool::ReleaseArenaFrames() {
   released.reserve(resident_count_);
   for (uint32_t slot = 0; slot < used_frames_; ++slot) {
     Frame& frame = frames_[slot];
-    if (frame.page != kInvalidPageId) {
-      arena_->EraseSlot(arena_tenant_, frame.page);
-      frame.page = kInvalidPageId;
-    }
     if (frame.arena_frame != UINT32_MAX) {
       released.push_back(frame.arena_frame);
       frame.arena_frame = UINT32_MAX;
     }
+    frame.page = kInvalidPageId;
     frame.dirty = false;
   }
   arena_->ReleaseFrames(released);
+  page_to_frame_.Clear();
   policy_->Clear();
   free_frames_.clear();
   used_frames_ = 0;
@@ -313,15 +270,11 @@ void BufferPool::ResetStats() {
 }
 
 bool BufferPool::IsResident(PageId page) const {
-  return arena_ != nullptr ? arena_->FindSlot(arena_tenant_, page) !=
-                                 SharedFrameArena::kNoFrame
-                           : page_to_frame_.Contains(page);
+  return page_to_frame_.Contains(page);
 }
 
 bool BufferPool::IsDirty(PageId page) const {
-  const uint32_t slot = arena_ != nullptr
-                            ? arena_->FindSlot(arena_tenant_, page)
-                            : page_to_frame_.Find(page);
+  const uint32_t slot = page_to_frame_.Find(page);
   return slot != OpenIndexMap::kEmptyValue && frames_[slot].dirty;
 }
 

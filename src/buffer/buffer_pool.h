@@ -68,21 +68,20 @@ struct BufferStats {
 ///
 /// Shared-arena mode (DESIGN.md §17): constructed with a SharedFrameArena,
 /// the pool stops owning physical frames. `frame_count` becomes the
-/// tenant's *logical quota*: replacement state, residency accounting and
-/// every counter run over logical slots [0, frame_count) exactly as in
-/// private mode — which is what makes per-tenant results byte-identical to
-/// a private pool — while each resident slot borrows one physical frame
-/// from the arena and the page→slot residency map lives in the arena's
-/// lock-striped table under the (tenant, page) composite key. The pool
-/// itself stays single-owner; only the arena's striped structures are
-/// touched by several tenants at once.
+/// tenant's *logical quota*: the page→slot index, replacement state,
+/// residency accounting and every counter run over logical slots
+/// [0, frame_count) exactly as in private mode — which is what makes
+/// per-tenant results byte-identical to a private pool — while each
+/// resident slot borrows one physical frame from the arena. The two modes
+/// differ only in where a slot's bytes live and in borrowing, squeezing
+/// and returning arena frames; a page hit never leaves the pool.
 class BufferPool {
  public:
   /// `device` must outlive the pool. `frame_count` > 0 frames of
   /// device->page_size() bytes each. With `arena` non-null (which must
-  /// then outlive the pool) the pool runs in shared-arena mode under
-  /// tenant id `arena_tenant`; frame payloads then come from the arena and
-  /// `frame_count` is the logical quota.
+  /// then outlive the pool) the pool runs in shared-arena mode; frame
+  /// payloads then come from the arena and `frame_count` is the logical
+  /// quota. `arena_tenant` names the tenant in the arena's error messages.
   BufferPool(PageDevice* device, size_t frame_count,
              ReplacementPolicyKind policy = ReplacementPolicyKind::kLru,
              SharedFrameArena* arena = nullptr, uint32_t arena_tenant = 0);
@@ -139,9 +138,9 @@ class BufferPool {
 
   /// Shared-arena mode only: drops every resident page without write-back
   /// or counter traffic and returns the borrowed frames to the arena. The
-  /// service calls this when a tenant finishes or departs, so parked
-  /// residency never pins physical frames against live tenants. No-op in
-  /// private mode.
+  /// service calls this when a tenant finishes or departs, before it
+  /// destroys the tenant's heap — the pool has no destructor that returns
+  /// borrowed frames. No-op in private mode.
   void ReleaseArenaFrames();
 
   /// True if `page` is currently resident (test/inspection helper; does not
@@ -196,12 +195,14 @@ class BufferPool {
   // the pool is full.
   uint32_t AllocFrame();
 
-  // Shared-arena miss path (GetPage's tail once the local lookup missed).
-  Result<std::span<std::byte>> FillShared(PageId page, AccessMode mode);
+  // Evicts the slot the policy chose (write-back, policy + index drop)
+  // and returns it for reuse; a borrowed arena frame stays attached.
+  Status EvictSlot(uint32_t* slot);
 
-  // Evicts the slot the policy chose (write-back, policy + arena-table
-  // drop) and returns it for reuse; the borrowed frame stays attached.
-  Status EvictSlotShared(uint32_t* slot);
+  // Shared-arena mode: attaches an arena frame to the free `*slot`, or —
+  // when the arena is exhausted — squeezes: frees `*slot` and evicts this
+  // pool's own victim instead, whose frame is already attached.
+  Status BorrowArenaFrame(uint32_t* slot);
 
   PageDevice* const device_;
   MetricsRegistry* const registry_;
@@ -218,8 +219,7 @@ class BufferPool {
   uint32_t used_frames_ = 0;  // High-water mark of ever-touched frames.
   size_t resident_count_ = 0;
 
-  /// Shared-arena mode (null in private mode): the physical frames and
-  /// the striped (tenant, page) → slot residency table.
+  /// Shared-arena mode (null in private mode): the physical frames.
   SharedFrameArena* const arena_;
   const uint32_t arena_tenant_;
   uint64_t squeezed_evictions_ = 0;

@@ -47,8 +47,9 @@ constexpr int kMaxForcedPerBarrier = 64;
 // Per-tenant execution state: a plain serial Simulator plus its generator
 // stream, buffered one build phase / generator round at a time and applied
 // in events_per_batch slices. Exactly one worker touches a TenantRun per
-// round, and the barriers in between run on the service thread — the
-// pool's submit/wait edges sequence the handoffs.
+// segment, and the barriers in between run on the service thread — the
+// pool's submit/wait edges sequence the handoffs. The heap and generator
+// live from the tenant's first step until it finishes or departs.
 struct HeapService::TenantRun {
   SimulationConfig config;
   std::string name;
@@ -62,6 +63,9 @@ struct HeapService::TenantRun {
   bool done = false;
   Status status = Status::Ok();
   SimulationResult result;
+  // Resident frames after each round of the current segment (0 from the
+  // round the tenant finished in), folded into the ledger at its barrier.
+  std::vector<uint64_t> samples;
 };
 
 HeapService::HeapService(ServiceSpec spec) : spec_(std::move(spec)) {}
@@ -80,11 +84,6 @@ Status HeapService::Validate() const {
   }
   if (spec_.steps_per_round == 0) {
     return Status::InvalidArgument("steps_per_round must be >= 1");
-  }
-  if (spec_.shared_pool &&
-      spec_.tenants.size() > SharedFrameArena::kMaxTenants) {
-    return Status::InvalidArgument(
-        "too many tenants for the shared arena's composite key space");
   }
   if (spec_.admission_watermark < 0.0 || spec_.admission_watermark > 1.0) {
     return Status::InvalidArgument("admission_watermark must be in [0, 1]");
@@ -145,7 +144,7 @@ Status HeapService::PrepareTenants() {
     run->config.heap.global_view = &views_[i];
     if (arena_ != nullptr) {
       // Physically shared frames: the tenant's pool becomes a logical
-      // quota over the arena, under its tenant id in the composite key.
+      // quota over the arena (the id labels the arena's errors).
       run->config.heap.shared_arena = arena_.get();
       run->config.heap.arena_tenant = static_cast<uint32_t>(i);
     }
@@ -190,12 +189,27 @@ void HeapService::RunTenantRound(TenantRun* run) {
   for (uint64_t k = 0; k < spec_.steps_per_round && !run->done; ++k) {
     StepTenant(run);
   }
-  if (run->done && run->sim != nullptr) {
-    // A finished tenant's borrowed frames return to the arena right away
-    // (no counter moves — its result is already finalized), so parked
-    // residency never pins the shared budget. No-op for private pools.
-    run->sim->heap().mutable_buffer().ReleaseArenaFrames();
+  if (run->done) Retire(run);
+}
+
+void HeapService::RunTenantSegment(TenantRun* run, uint64_t rounds) {
+  for (uint64_t r = 0; r < rounds && !run->done; ++r) {
+    RunTenantRound(run);
+    run->samples.push_back(
+        run->done ? 0 : run->sim->heap().buffer().resident_pages());
   }
+}
+
+void HeapService::Retire(TenantRun* run) {
+  // Frames go back before the heap is destroyed: the pool has no
+  // destructor that returns borrowed frames. Its result is already
+  // finalized, so no counter moves.
+  if (run->sim != nullptr) {
+    run->sim->heap().mutable_buffer().ReleaseArenaFrames();
+    run->sim.reset();
+  }
+  run->generator.reset();
+  std::vector<TraceEvent>().swap(run->buffer);
 }
 
 void HeapService::RetireDepartures() {
@@ -212,7 +226,7 @@ void HeapService::RetireDepartures() {
     run.result = run.sim->Finish();
     run.done = true;
     ++departures_;
-    run.sim->heap().mutable_buffer().ReleaseArenaFrames();
+    Retire(&run);
   }
 }
 
@@ -276,10 +290,10 @@ void HeapService::RefreshSharedState() {
   uint64_t total_footprint = 0;
   for (size_t t = 0; t < runs_.size(); ++t) {
     TenantRun& run = *runs_[t];
-    // A finished tenant's pool is released back to the shared budget (its
-    // heap idles; a real service would shut it down) — otherwise parked
-    // residency would pin the watermark high against the still-running
-    // tenants with nothing left to shed.
+    // A finished tenant holds nothing: its frames went back and its heap
+    // was destroyed when it finished (Retire) — otherwise parked residency
+    // would pin the watermark high against the still-running tenants with
+    // nothing left to shed.
     const bool active = run.sim != nullptr && !run.done;
     // A dormant (not yet arrived) tenant holds no slice of the budget —
     // its cap enters the ledger only once it can actually fault pages in.
@@ -301,6 +315,41 @@ void HeapService::RefreshSharedState() {
     // barrier its queue really is empty.
     views_[t].device_queue_depth = 0;
   }
+}
+
+uint64_t HeapService::SegmentRounds() const {
+  if (!barrier_free_) return 1;
+  // The segment runs up to the next round where the fleet changes shape:
+  // a dormant tenant arrives or a live one departs. With neither ahead it
+  // lasts until every tenant is done.
+  uint64_t end = UINT64_MAX;
+  for (size_t i = 0; i < runs_.size(); ++i) {
+    if (runs_[i]->done) continue;
+    const TenantSpec& tenant = spec_.tenants[i];
+    if (tenant.arrival_round > rounds_) {
+      end = std::min(end, tenant.arrival_round);
+    }
+    if (tenant.departure_round > rounds_) {
+      end = std::min(end, tenant.departure_round);
+    }
+  }
+  return end - rounds_;
+}
+
+void HeapService::FoldSegmentSamples(uint64_t rounds) {
+  // Every round but the segment's last, in order, exactly as a barrier
+  // after that round would have seen it: tenants outside the segment
+  // (dormant or done) hold 0 frames, caps do not change mid-segment. The
+  // last round is the real barrier's to sample — it retires departures
+  // first.
+  for (uint64_t r = 0; r + 1 < rounds; ++r) {
+    for (size_t t = 0; t < runs_.size(); ++t) {
+      const std::vector<uint64_t>& samples = runs_[t]->samples;
+      budget_.Update(t, r < samples.size() ? samples[r] : 0, budget_.cap(t));
+    }
+    budget_.NotePeak();
+  }
+  for (const auto& run : runs_) run->samples.clear();
 }
 
 void HeapService::CollectUnderPressure() {
@@ -344,6 +393,7 @@ void HeapService::CollectUnderPressure() {
     if (!collected.status().ok()) {
       run.status = collected.status();
       run.done = true;
+      Retire(&run);
       break;
     }
     ++forced_collections_;
@@ -439,6 +489,13 @@ Status HeapService::Run() {
   budget_.Configure(budget_frames, spec_.admission_watermark, n);
   RefreshSharedState();  // Caps registered; occupancy 0; views zeroed.
 
+  // Tenants interact only through the watermark and the arena's frames.
+  // With no watermark and an arena that cannot run dry, nothing a tenant
+  // does in one round can affect another's next round, so barriers are
+  // due only when the fleet changes shape (SegmentRounds).
+  barrier_free_ = !budget_.enabled() &&
+                  (arena_ == nullptr || arena_->frame_count() >= total_cap);
+
   std::unique_ptr<TaskPool> pool;
   if (spec_.threads > 1) pool = std::make_unique<TaskPool>(spec_.threads);
 
@@ -455,30 +512,37 @@ Status HeapService::Run() {
   std::vector<char> admitted(n, 1);
   ComputeAdmissions(&admitted);
   while (!all_done()) {
-    size_t runnable = 0;
+    const uint64_t segment = SegmentRounds();
+    std::vector<TenantRun*> runnable;
     for (size_t i = 0; i < n; ++i) {
-      if (admitted[i] != 0 && !runs_[i]->done) ++runnable;
+      if (admitted[i] != 0 && !runs_[i]->done) {
+        runnable.push_back(runs_[i].get());
+      }
     }
-    if (pool != nullptr && runnable > 1) {
+    if (pool != nullptr && runnable.size() > 1) {
       TaskPool::TaskGroup group;
-      for (size_t i = 0; i < n; ++i) {
-        if (admitted[i] == 0 || runs_[i]->done) continue;
-        TenantRun* run = runs_[i].get();
-        pool->Submit(&group,
-                     [this, run](TaskPool::Context&) { RunTenantRound(run); });
+      for (TenantRun* run : runnable) {
+        pool->Submit(&group, [this, run, segment](TaskPool::Context&) {
+          RunTenantSegment(run, segment);
+        });
       }
       pool->Wait(&group);
     } else {
       // Inline, in tenant order — byte-stable end to end at one thread,
-      // and a round with at most one runnable tenant skips the worker
+      // and a segment with at most one runnable tenant skips the worker
       // pool entirely rather than paying wake/park churn for no overlap.
-      for (size_t i = 0; i < n; ++i) {
-        if (admitted[i] != 0 && !runs_[i]->done) {
-          RunTenantRound(runs_[i].get());
-        }
-      }
+      for (TenantRun* run : runnable) RunTenantSegment(run, segment);
     }
-    ++rounds_;
+    // The segment spans its full length unless it ended the service: then
+    // it ends with the round the last tenant finished in.
+    uint64_t ran = 0;
+    for (TenantRun* run : runnable) {
+      ran = std::max<uint64_t>(ran, run->samples.size());
+    }
+    const uint64_t rounds = all_done() ? ran : segment;
+    FoldSegmentSamples(rounds);
+    rounds_ += rounds;
+    ++barriers_;
 
     // Barrier: departures, accounting, pressure view, forced collections,
     // admission.
@@ -514,6 +578,7 @@ ServiceResult HeapService::Finish() {
     }
   }
   out.rounds = rounds_;
+  out.barriers = barriers_;
   out.forced_collections = forced_collections_;
   out.admission_stalls = admission_stalls_;
   out.forced_admissions = forced_admissions_;

@@ -32,8 +32,14 @@ struct ServiceResult {
   /// "Mixed" — per-policy numbers live in `tenants`.
   SimulationResult aggregate;
 
-  /// Round barriers the service ran (one batch wave per round).
+  /// Logical rounds on the service clock (arrival_round/departure_round
+  /// count in these), whether or not a barrier followed each one.
   uint64_t rounds = 0;
+  /// Barrier passes actually run: one per round under a watermark (or over
+  /// an arena that can run dry), otherwise one per segment — per arrival,
+  /// departure and the fleet's end. Not part of the schedule the results
+  /// depend on; thread-count invariant all the same.
+  uint64_t barriers = 0;
   /// Collections the cross-tenant scheduler forced at barriers (these are
   /// in addition to each tenant's own trigger-driven collections, and are
   /// included in the per-tenant collection counts).
@@ -47,7 +53,7 @@ struct ServiceResult {
 
   /// Shared-pool accounting (frames): the budget, the armed watermark (0
   /// when admission control was off), and the highest post-round
-  /// occupancy any barrier observed.
+  /// occupancy (sampled after every round, barrier or not).
   uint64_t shared_frame_budget = 0;
   uint64_t watermark_frames = 0;
   uint64_t peak_occupancy_frames = 0;
@@ -62,8 +68,8 @@ struct ServiceResult {
   /// Tenants retired mid-run by their departure_round.
   uint64_t departures = 0;
   /// Per-tenant occupancy story, indexed like `tenants`: the highest
-  /// barrier residency each tenant reached, and how many rounds each was
-  /// individually stalled by the watermark. These also land in the
+  /// post-round residency each tenant reached, and how many rounds each
+  /// was individually stalled by the watermark. These also land in the
   /// optional `service` section of each tenant manifest.
   std::vector<uint64_t> tenant_peak_resident_frames;
   std::vector<uint64_t> tenant_admission_stalls;
@@ -73,19 +79,18 @@ struct ServiceResult {
 /// CollectedHeap + Simulator replaying its own deterministic workload
 /// stream — hosted over one shared frame budget, one shared IoScheduler
 /// (for "file" backends), one worker pool, and (by default) one
-/// physically shared BufferPool arena: a single frame array plus a
-/// lock-striped residency table that every tenant pool draws from, with
-/// each tenant's buffer_pages as its logical quota (DESIGN.md §17).
-/// Tenants may arrive (TenantSpec::arrival_round) and depart
+/// physically shared frame arena every tenant pool borrows its frames
+/// from, with each tenant's buffer_pages as its logical quota (DESIGN.md
+/// §17). Tenants may arrive (TenantSpec::arrival_round) and depart
 /// (departure_round) while the service runs, so a fleet can be grown to
 /// thousands of tenants without hosting them all simultaneously.
 ///
 /// Execution is round-based. Each round, every *admitted* tenant applies
 /// up to `steps_per_round` batches of `events_per_batch` events of its
-/// stream (in parallel across the worker pool; a tenant's own stream
-/// always applies in order). At the barrier after each round the service,
-/// single-threaded:
+/// stream (a tenant's own stream always applies in order). At a barrier
+/// the service, single-threaded:
 ///
+///   0. retires tenants whose departure_round has come;
 ///   1. refreshes the SharedPoolBudget from every tenant pool's residency
 ///      and records the occupancy peak;
 ///   2. refreshes each tenant's GlobalView (the pressure snapshot
@@ -106,25 +111,36 @@ struct ServiceResult {
 ///      nobody fits, the first unfinished tenant is admitted anyway so
 ///      the service always finishes (counted as a forced admission).
 ///
+/// Barriers run only when an interaction is due. With a watermark armed,
+/// or an arena smaller than the summed quotas (tenants then squeeze one
+/// another), every round ends in a barrier. Otherwise no tenant can affect
+/// another's next round, and the service runs *segments*: each runnable
+/// tenant applies every round up to the next arrival or departure (or to
+/// its end) as one stealable task, then one barrier follows. Each tenant
+/// records its residency after every logical round, and the barrier folds
+/// those samples into the ledger exactly as per-round barriers would have.
+/// A tenant that finishes or departs returns its frames and its heap and
+/// generator are destroyed; only its result stays.
+///
 /// Determinism: tenants are the determinism units — each result is a pure
 /// function of its (config, seed) plus the admission/collection schedule,
 /// and the schedule itself is computed at barriers from deterministic
 /// state only. Hence results are thread-count invariant, and a
 /// single-thread run is byte-stable end to end (including observer event
-/// order). With the watermark unset (admission control off) no forced
-/// collections or stalls occur and every tenant's result is bitwise
-/// identical to a standalone Simulator run of its config — the service
-/// equivalence contract (tests/service/service_equivalence_test.cc).
+/// order: tenant by tenant within a segment, round by round otherwise).
+/// With the watermark unset (admission control off) no forced collections
+/// or stalls occur and every tenant's result is bitwise identical to a
+/// standalone Simulator run of its config — the service equivalence
+/// contract (tests/service/service_equivalence_test.cc).
 ///
 /// Threading: tenant heaps stay in plain serial mode; one worker applies
-/// one tenant's round per round, and the pool's submit/wait edges order
-/// each heap's cross-round (and barrier) accesses. The BufferPool
-/// single-owner check holds: ownership hands off only through those
-/// edges. The shared arena's striped table and allocator are the only
-/// structures several tenants touch at once; they carry their own locks
-/// (and stripe-scoped single-owner assertions). Rounds with at most one
-/// runnable tenant run inline on the service thread — a small fleet never
-/// pays TaskPool wake/park churn for work one thread does anyway.
+/// one tenant's round (or segment) at a time, and the pool's submit/wait
+/// edges order each heap's cross-segment (and barrier) accesses. The
+/// BufferPool single-owner check holds: ownership hands off only through
+/// those edges. The arena's frame allocator is the only structure several
+/// tenants touch at once; it carries its own lock. Segments with at most
+/// one runnable tenant run inline on the service thread — a small fleet
+/// never pays TaskPool wake/park churn for work one thread does anyway.
 class HeapService {
  public:
   explicit HeapService(ServiceSpec spec);
@@ -145,6 +161,7 @@ class HeapService {
   const SharedPoolBudget& budget() const { return budget_; }
   size_t tenant_count() const { return spec_.tenants.size(); }
   uint64_t rounds() const { return rounds_; }
+  uint64_t barriers() const { return barriers_; }
   uint64_t forced_collections() const { return forced_collections_; }
 
  private:
@@ -162,7 +179,21 @@ class HeapService {
   /// is exhausted. Runs on a worker (or inline when threads == 1).
   void StepTenant(TenantRun* run);
   /// One round's worth of work for a tenant: steps_per_round batches.
+  /// Retires the tenant once it is done.
   void RunTenantRound(TenantRun* run);
+  /// Up to `rounds` rounds for a tenant, recording its residency after
+  /// each (0 from the round it finished in) for FoldSegmentSamples.
+  void RunTenantSegment(TenantRun* run, uint64_t rounds);
+  /// Frees a done tenant: borrowed frames back to the arena, then its
+  /// heap, generator and event buffer. Its result stays.
+  void Retire(TenantRun* run);
+  /// Rounds until the next barrier is due: 1 unless barrier_free_, else
+  /// up to the next arrival or departure (about UINT64_MAX if none is
+  /// ahead: the segment then ends with the fleet).
+  uint64_t SegmentRounds() const;
+  /// Folds the residency samples of a segment that spanned `rounds`
+  /// rounds into the ledger's peaks, all rounds but the last.
+  void FoldSegmentSamples(uint64_t rounds);
   /// Barrier step 0: retires tenants whose departure_round has come
   /// (finalize, count, release shared frames).
   void RetireDepartures();
@@ -190,6 +221,9 @@ class HeapService {
   std::vector<GlobalView> views_;
   SharedPoolBudget budget_;
   uint64_t rounds_ = 0;
+  uint64_t barriers_ = 0;
+  // No watermark and an arena that cannot run dry: segments, not rounds.
+  bool barrier_free_ = false;
   uint64_t forced_collections_ = 0;
   uint64_t admission_stalls_ = 0;
   uint64_t forced_admissions_ = 0;

@@ -151,7 +151,10 @@ struct TenantSpec {
 struct ServiceSpec {
   std::vector<TenantSpec> tenants;
   /// Worker threads applying tenant batches; 1 = fully serial (and
-  /// byte-stable, including observer event order).
+  /// byte-stable, including observer event order). In an open fleet's
+  /// barrier-free segments a single thread runs tenant by tenant, so
+  /// observer events come one tenant's segment at a time; the order is
+  /// still deterministic.
   uint32_t threads = 1;
   /// Shared frame budget across every tenant's buffer pool, in frames.
   /// 0 (the default) means the sum of the tenant caps — no overcommit, no
@@ -183,9 +186,9 @@ struct ServiceSpec {
   /// forced-collection schedule, so it is part of the spec.
   uint64_t steps_per_round = 1;
   /// One physically shared BufferPool arena for the whole fleet (the
-  /// default): a single frame array sized to the shared budget plus a
-  /// lock-striped residency table, with each tenant's buffer_pages as its
-  /// logical quota. At threads == 1 per-tenant results are byte-identical
+  /// default): a single frame array sized to the shared budget that every
+  /// tenant pool borrows frames from, with each tenant's buffer_pages as
+  /// its logical quota. At threads == 1 per-tenant results are byte-identical
   /// to private pools; false reverts to one private pool per tenant (the
   /// PR 9 baseline — the ledger shared, the frames not).
   bool shared_pool = true;

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 
@@ -255,12 +256,12 @@ struct DenseLayoutParams {
   ReplacementPolicyKind replacement;
 };
 
-// gtest lists each case as its name plus a raw byte dump of the params,
-// pointers included. Case names are long enough (or the literals sized)
-// that a name cut to its first 100 characters holds no address bits that
-// change from run to run; the named array keeps this policy name out of
-// the pooled string literals so the other cases' dumps keep their offsets.
-constexpr char kLeastRecentlyCollected[] = "LeastRecentlyCollected";
+// gtest lists each case with its printed param. Without this it prints a
+// raw byte dump of the struct, whose pointers and padding change from run
+// to run, and so would the listed test names.
+void PrintTo(const DenseLayoutParams& params, std::ostream* os) {
+  *os << params.name;
+}
 
 class DenseLayoutRoundTrip
     : public ::testing::TestWithParam<DenseLayoutParams> {};
@@ -302,7 +303,7 @@ INSTANTIATE_TEST_SUITE_P(
         DenseLayoutParams{"mutated", "MutatedPartition",
                           PolicyKind::kMutatedPartition,
                           ReplacementPolicyKind::kLru},
-        DenseLayoutParams{"lrc_leastrecentlycollected", kLeastRecentlyCollected,
+        DenseLayoutParams{"lrc_leastrecentlycollected", "LeastRecentlyCollected",
                           PolicyKind::kUpdatedPointer,
                           ReplacementPolicyKind::kLru},
         DenseLayoutParams{"costbenefit", "CostBenefit",
